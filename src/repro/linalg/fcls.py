@@ -9,8 +9,13 @@ Heinz–Chang style active-set iteration on top of SCLS) solvers, plus
 the reconstruction-error map UFCLS consumes.
 
 The FCLS path is vectorized over pixels: the SCLS solve is a single
-batched linear-algebra expression, and only pixels whose solution went
-negative enter the per-pixel active-set refinement.
+batched linear-algebra expression, and each active-set round solves all
+pixels whose solution went negative in one stacked ``np.linalg.solve``.
+Every product is computed per pixel row (``einsum`` rather than BLAS
+``@``, whose summation order varies with the row count), so a pixel's
+result does not depend on which other pixels share its batch — the
+property that lets partitioned ranks reproduce a sequential pass
+bit-for-bit.  Non-finite pixels or endmembers raise :class:`DataError`.
 """
 
 from __future__ import annotations
@@ -32,6 +37,21 @@ __all__ = [
 ]
 
 
+def _require_finite(values: FloatArray, what: str) -> None:
+    """Raise :class:`DataError` naming ``what`` if it holds NaN or inf.
+
+    A single non-finite pixel otherwise poisons every sum it enters: the
+    error image turns NaN and ``argmax`` silently returns garbage picks.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        rows = np.flatnonzero(~finite.all(axis=1))
+        raise DataError(
+            f"{what} contain non-finite values (NaN or inf) in "
+            f"{rows.size} row(s), first at row {int(rows[0])}"
+        )
+
+
 def _validate(pixels: FloatArray, endmembers: FloatArray) -> tuple[FloatArray, FloatArray]:
     pix = np.asarray(pixels, dtype=float)
     end = np.asarray(endmembers, dtype=float)
@@ -49,7 +69,31 @@ def _validate(pixels: FloatArray, endmembers: FloatArray) -> tuple[FloatArray, F
         )
     if end.shape[0] == 0:
         raise DataError("need at least one endmember")
+    _require_finite(pix, "pixels")
+    _require_finite(end, "endmembers")
     return pix, end
+
+
+def _solver_pixels(pixels: FloatArray) -> FloatArray:
+    """Validate the ``(n, bands)`` pixel matrix a UFCLS solver state holds."""
+    pix = np.asarray(pixels, dtype=float)
+    if pix.ndim == 1:
+        pix = pix[None, :]
+    if pix.ndim != 2:
+        raise ShapeError(f"expected (n, bands), got {pix.shape}")
+    _require_finite(pix, "pixels")
+    return pix
+
+
+def _target_signature(signature: FloatArray, bands: int) -> FloatArray:
+    """Validate one target row about to join a solver's target set."""
+    sig = np.asarray(signature, dtype=float).reshape(-1)
+    if sig.shape[0] != bands:
+        raise ShapeError(
+            f"signature has {sig.shape[0]} bands, expected {bands}"
+        )
+    _require_finite(sig[None, :], "target signature")
+    return sig
 
 
 def _reg_inverse(gram: FloatArray, ridge: float) -> FloatArray:
@@ -76,7 +120,7 @@ def _scls_from_cross(cross: FloatArray, ginv: FloatArray) -> FloatArray:
     so callers that already hold these products skip the O(n·bands·k)
     design-matrix work entirely.
     """
-    a_ls = cross @ ginv  # (n, k)
+    a_ls = np.einsum("ij,jk->ik", cross, ginv)  # (n, k)
     ones = np.ones(ginv.shape[0])
     ginv_one = ginv @ ones  # (k,)
     denom = float(ones @ ginv_one)
@@ -84,6 +128,41 @@ def _scls_from_cross(cross: FloatArray, ginv: FloatArray) -> FloatArray:
         raise DataError("sum-to-one constraint is degenerate for these endmembers")
     correction = (a_ls.sum(axis=1) - 1.0) / denom
     return a_ls - correction[:, None] * ginv_one[None, :]
+
+
+#: Cap on sub-Gram entries per stacked solve: a round's transient memory
+#: stays O(block) instead of O(n·k²) on full frames (one block at the
+#: benchmark and microbench scales).
+_SOLVE_BLOCK = 1 << 18
+
+
+def _stacked_scls(
+    cross: FloatArray, live: np.ndarray, gram: FloatArray, damping: FloatArray
+) -> FloatArray:
+    """SCLS of ``m`` pixels, each over its own ``c`` live endmembers.
+
+    ``live`` is ``(m, c)`` endmember indices and ``cross`` the matching
+    ``(m, c)`` cross-products.  One batched ``np.linalg.solve`` of the
+    damped sub-Grams (:func:`_reg_inverse`'s per-entry damping) against
+    ``[x_L, 1]`` yields ``G⁻¹x`` and ``G⁻¹1`` per pixel — all the
+    Lagrange formula needs.  Each pixel's solve is independent of the
+    rest of the batch, so results do not depend on the batch's rows.
+    """
+    m, c = live.shape
+    sub_gram = gram[live[:, :, None], live[:, None, :]]
+    diag = np.arange(c)
+    sub_gram[:, diag, diag] += damping[live]
+    rhs = np.empty((m, c, 2))
+    rhs[:, :, 0] = cross
+    rhs[:, :, 1] = 1.0
+    sol = np.linalg.solve(sub_gram, rhs)
+    a_ls, ginv_one = sol[:, :, 0], sol[:, :, 1]
+    denom = ginv_one.sum(axis=1)
+    if (np.abs(denom) < 1e-300).any():
+        raise DataError(
+            "sum-to-one constraint is degenerate for these endmembers"
+        )
+    return a_ls - ((a_ls.sum(axis=1) - 1.0) / denom)[:, None] * ginv_one
 
 
 def _active_set_refine(
@@ -95,57 +174,49 @@ def _active_set_refine(
 ) -> FloatArray:
     """Heinz–Chang active-set refinement on top of a full SCLS solve.
 
-    Operates purely on cross-products: a sub-problem over endmember
-    subset ``live`` and pixel rows ``rows`` needs only
-    ``cross[rows][:, live]`` and ``gram[live][:, live]`` — identical
-    floats to recomputing ``pix[rows] @ end[live].T`` from scratch,
-    since every entry is the same pixel–endmember dot product.
+    Every still-infeasible pixel has dropped exactly one endmember per
+    round, so at round ``r`` all of them share the live count
+    ``c = k − 1 − r`` and the round is one stacked SCLS over them
+    (:func:`_stacked_scls`, in blocks of at most ``_SOLVE_BLOCK``
+    sub-Gram entries).  A sub-problem reads only ``cross[p, live]`` and
+    ``gram[live][:, live]`` — the same floats as recomputing
+    ``pix[p] @ end[live].T`` from scratch.  Pixels that come out
+    feasible are done; the rest drop their most negative abundance.
 
     Mutates and returns ``result`` with all abundances non-negative.
     """
     n, k = result.shape
-    bad = np.flatnonzero((result < -1e-12).any(axis=1))
-    if bad.size == 0:
-        np.maximum(result, 0.0, out=result)
-        return result
-
+    todo = np.flatnonzero((result < -1e-12).any(axis=1))
     active = np.ones((n, k), dtype=bool)
     # Round 0 already solved the all-active case; record first drops.
-    worst = np.argmin(result[bad], axis=1)
-    active[bad, worst] = False
-    todo = bad
+    active[todo, np.argmin(result[todo], axis=1)] = False
+    damping = ridge * np.maximum(1.0, np.diag(gram))
 
-    for _ in range(rounds):
+    for r in range(rounds):
         if todo.size == 0:
             break
-        masks, inverse = np.unique(active[todo], axis=0, return_inverse=True)
-        next_todo: list[np.ndarray] = []
-        for m_idx in range(masks.shape[0]):
-            mask = masks[m_idx]
-            rows = todo[inverse == m_idx]
-            live = np.flatnonzero(mask)
-            if live.size == 0:
-                raise ConvergenceError(
-                    "FCLS active-set iteration emptied an active set"
-                )
-            sub_cross = cross[rows[:, None], live[None, :]]
-            sub_ginv = _reg_inverse(gram[live[:, None], live[None, :]], ridge)
-            sub = _scls_from_cross(sub_cross, sub_ginv)
-            feasible = ~(sub < -1e-12).any(axis=1)
-            done_rows = rows[feasible]
-            if done_rows.size:
-                result[done_rows] = 0.0
-                result[done_rows[:, None], live[None, :]] = np.maximum(
-                    sub[feasible], 0.0
-                )
-            bad_rows = rows[~feasible]
-            if bad_rows.size:
-                worst_local = np.argmin(sub[~feasible], axis=1)
-                active[bad_rows, live[worst_local]] = False
-                next_todo.append(bad_rows)
-        todo = (
-            np.concatenate(next_todo) if next_todo else np.empty(0, dtype=np.int64)
-        )
+        c = k - 1 - r
+        if c <= 0:
+            raise ConvergenceError(
+                "FCLS active-set iteration emptied an active set"
+            )
+        live = np.nonzero(active[todo])[1].reshape(todo.size, c)
+        sub_cross = cross[todo[:, None], live]
+        step = max(1, _SOLVE_BLOCK // (c * c))
+        sub = np.concatenate([
+            _stacked_scls(
+                sub_cross[lo:lo + step], live[lo:lo + step], gram, damping
+            )
+            for lo in range(0, todo.size, step)
+        ])
+        infeasible = (sub < -1e-12).any(axis=1)
+        done = ~infeasible
+        rows = todo[done]
+        result[rows] = 0.0
+        result[rows[:, None], live[done]] = np.maximum(sub[done], 0.0)
+        todo = todo[infeasible]
+        worst = np.argmin(sub[infeasible], axis=1)
+        active[todo, live[infeasible, worst]] = False
     if todo.size:
         raise ConvergenceError(
             f"FCLS failed to converge for {todo.size} pixel(s) in "
@@ -200,18 +271,17 @@ def fcls_abundances(
 ) -> FloatArray:
     """Fully constrained (non-negative, sum-to-one) abundances → ``(n, k)``.
 
-    Batched active-set iteration: each round groups the still-infeasible
-    pixels by their active-endmember mask, runs one vectorized SCLS per
-    distinct mask, and deactivates each pixel's most negative abundance.
-    With ``k`` endmembers a pixel converges in at most ``k − 1`` drops,
-    and the number of distinct masks stays tiny in practice, so the
-    whole solve is a handful of batched linear-algebra calls rather than
-    a per-pixel Python loop.
+    Batched active-set iteration: each round solves every
+    still-infeasible pixel's SCLS over its own live endmembers in one
+    stacked linear solve, and deactivates each pixel's most negative
+    abundance.  With ``k`` endmembers a pixel converges in at most
+    ``k − 1`` drops, so the whole solve is at most ``k`` batched
+    linear-algebra steps whatever mix of active sets the pixels reach.
     """
     pix, end = _validate(pixels, endmembers)
     k = end.shape[0]
     rounds = max_iter if max_iter is not None else k + 1
-    cross = pix @ end.T
+    cross = np.einsum("ij,kj->ik", pix, end)
     gram = end @ end.T
     result = _scls_from_cross(cross, _reg_inverse(gram, ridge))
     return _active_set_refine(result, cross, gram, ridge, rounds)
@@ -232,7 +302,7 @@ def reconstruction_error(
             f"abundances shape {ab.shape} does not match "
             f"({pix.shape[0]}, {end.shape[0]})"
         )
-    resid = pix - ab @ end
+    resid = pix - np.einsum("ij,jk->ik", ab, end)
     return np.einsum("ij,ij->i", resid, resid)
 
 
@@ -252,12 +322,7 @@ class ScratchFCLS:
     """
 
     def __init__(self, pixels: FloatArray, ridge: float = 1e-10) -> None:
-        pix = np.asarray(pixels, dtype=float)
-        if pix.ndim == 1:
-            pix = pix[None, :]
-        if pix.ndim != 2:
-            raise ShapeError(f"expected (n, bands), got {pix.shape}")
-        self._pix = pix
+        self._pix = _solver_pixels(pixels)
         self._ridge = float(ridge)
         self._targets: list[FloatArray] = []
 
@@ -268,12 +333,7 @@ class ScratchFCLS:
 
     def add_target(self, signature: FloatArray) -> None:
         """Append one target row (validated against the band count)."""
-        sig = np.asarray(signature, dtype=float).reshape(-1)
-        if sig.shape[0] != self._pix.shape[1]:
-            raise ShapeError(
-                f"signature has {sig.shape[0]} bands, "
-                f"expected {self._pix.shape[1]}"
-            )
+        sig = _target_signature(signature, self._pix.shape[1])
         if not self._targets and float(sig @ sig) == 0.0:
             raise DataError("cannot add an all-zero first target")
         self._targets.append(sig)
@@ -311,9 +371,10 @@ class IncrementalFCLS:
     bordering update would amplify round-off, so the inverse is
     recomputed from scratch for that step instead.
 
-    The per-pixel arithmetic is batch-size independent, so partitioned
-    ranks reproduce a sequential pass bit-for-bit — the property the
-    parallel/sequential equivalence tests pin.
+    The per-pixel arithmetic is row-independent (see the module
+    docstring), so partitioned ranks reproduce a sequential pass
+    bit-for-bit — pinned on random row splits by
+    ``tests/test_fcls_differential.py``.
     """
 
     #: Relative Schur-complement floor below which bordering falls back
@@ -321,11 +382,7 @@ class IncrementalFCLS:
     SCHUR_GUARD = 1e-9
 
     def __init__(self, pixels: FloatArray, ridge: float = 1e-10) -> None:
-        pix = np.asarray(pixels, dtype=float)
-        if pix.ndim == 1:
-            pix = pix[None, :]
-        if pix.ndim != 2:
-            raise ShapeError(f"expected (n, bands), got {pix.shape}")
+        pix = _solver_pixels(pixels)
         self._pix = pix
         self._ridge = float(ridge)
         self._total = np.einsum("ij,ij->i", pix, pix)
@@ -346,12 +403,7 @@ class IncrementalFCLS:
 
     def add_target(self, signature: FloatArray) -> None:
         """Grow the target set by one signature (O(n·bands) + O(t²))."""
-        sig = np.asarray(signature, dtype=float).reshape(-1)
-        if sig.shape[0] != self._pix.shape[1]:
-            raise ShapeError(
-                f"signature has {sig.shape[0]} bands, "
-                f"expected {self._pix.shape[1]}"
-            )
+        sig = _target_signature(signature, self._pix.shape[1])
         k = self.count
         b = self._end @ sig  # (k,) new Gram column
         c = float(sig @ sig)
@@ -382,7 +434,8 @@ class IncrementalFCLS:
         self._minv = minv
         self._end = np.vstack([self._end, sig[None, :]])
         self._cross = np.concatenate(
-            [self._cross, (self._pix @ sig)[:, None]], axis=1
+            [self._cross, np.einsum("ij,j->i", self._pix, sig)[:, None]],
+            axis=1,
         )
 
     def abundances(self, max_iter: int | None = None) -> FloatArray:
@@ -403,9 +456,10 @@ class IncrementalFCLS:
         the round-off the expansion admits where the residual vanishes.
         """
         ab = self.abundances(max_iter)
+        ab_gram = np.einsum("ij,jk->ik", ab, self._gram)
         err = (
             self._total
             - 2.0 * np.einsum("ij,ij->i", ab, self._cross)
-            + np.einsum("ij,ij->i", ab @ self._gram, ab)
+            + np.einsum("ij,ij->i", ab_gram, ab)
         )
         return np.maximum(err, 0.0)

@@ -107,11 +107,10 @@ class MicrobenchConfig:
     #: gate's jitter guard); below 3 the estimator is a plain minimum.
     repeats: int = 5
     kernels: tuple[str, ...] = KERNELS
-    #: Pixel subset for the ufcls kernel only.  Both sides of that
-    #: comparison are dominated by the shared per-pixel active-set
-    #: refinement (the fast path saves the Gram/ATDCA half), so the
-    #: ratio is already visible on a small subset — and the full frame
-    #: would cost ~25 s per timing sample.
+    #: Pixel subset for the ufcls kernel only.  Both sides share the
+    #: stacked active-set solve, whose cost is linear in pixels, so the
+    #: ratio is already visible on a small subset (0.8–0.9 s per side
+    #: per sample) — the full 6144-pixel frame costs ~10–13 s.
     ufcls_pixels: int = 512
     #: Pixel subset and simplex size for the nfindr kernel (the scalar
     #: reference sweep is O(n·k) determinants per pass — the full frame

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import fully_heterogeneous
+from repro.core import run_parallel
+from repro.core.ufcls import ufcls_pixels
 from repro.errors import DataError, ShapeError
+from repro.hsi import HyperspectralImage, SceneConfig, make_wtc_scene
 from repro.linalg.fcls import (
+    IncrementalFCLS,
+    ScratchFCLS,
     fcls_abundances,
     ls_abundances,
     nnls_abundances,
@@ -116,3 +122,62 @@ def test_fcls_constraints_property(n_end, bands, n_pixels, seed):
     est = fcls_abundances(pixels, endmembers)
     assert est.min() >= -1e-12
     assert np.allclose(est.sum(axis=1), 1.0, atol=1e-7)
+
+
+class TestNonFiniteInput:
+    """One NaN or inf pixel must raise, never yield garbage picks."""
+
+    @pytest.fixture()
+    def scene(self):
+        return make_wtc_scene(SceneConfig(rows=32, cols=16, bands=24, seed=3))
+
+    @pytest.fixture()
+    def scene_pixels(self, scene):
+        return scene.image.flatten_pixels().copy()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fcls_abundances_rejects(self, endmembers, bad):
+        pixels = np.ones((6, 16))
+        pixels[4, 2] = bad
+        with pytest.raises(DataError, match="pixels contain non-finite.*row 4"):
+            fcls_abundances(pixels, endmembers)
+        ends = endmembers.copy()
+        ends[1, 0] = bad
+        with pytest.raises(DataError, match="endmembers contain non-finite"):
+            fcls_abundances(np.ones((6, 16)), ends)
+
+    @pytest.mark.parametrize("solver_cls", [IncrementalFCLS, ScratchFCLS])
+    def test_solver_construction_and_add_target(self, solver_cls, endmembers):
+        pixels = np.ones((6, 16))
+        pixels[2, 7] = np.nan
+        with pytest.raises(DataError, match="pixels contain non-finite"):
+            solver_cls(pixels)
+        solver = solver_cls(np.ones((6, 16)))
+        sig = endmembers[0].copy()
+        sig[3] = np.inf
+        with pytest.raises(DataError, match="target signature"):
+            solver.add_target(sig)
+        assert solver.count == 0
+
+    @pytest.mark.parametrize("variant", ["incremental", "reference"])
+    def test_sequential_ufcls_nan_pixel(self, scene_pixels, variant):
+        scene_pixels[85, 3] = np.nan
+        with pytest.raises(DataError, match="non-finite.*row 85"):
+            ufcls_pixels(scene_pixels, 6, variant)
+
+    def test_sequential_ufcls_inf_pixel(self, scene_pixels):
+        # Used to surface as a misleading "sum-to-one constraint is
+        # degenerate" error.
+        scene_pixels[85, 3] = np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            ufcls_pixels(scene_pixels, 6)
+
+    def test_parallel_ufcls_nan_pixel(self, scene):
+        # Rank errors surface through raise_root_cause.
+        cube = scene.image.values.copy()
+        cube[5, 5, 3] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            run_parallel(
+                "ufcls", HyperspectralImage(cube), fully_heterogeneous(),
+                params={"n_targets": 6}, backend="sim",
+            )
